@@ -17,7 +17,7 @@ nperseg 1e4 / 50 % overlap), every segment mean falls out of one
 cumulative popcount over the words, which is what lets the packed
 Welch kernel replace the per-sample detrend subtraction with a
 rank-one spectral correction (see
-:func:`repro.dsp.psd.accumulate_packed_spectral_power`).
+:class:`repro.dsp.psd.WelchAccumulator`).
 """
 
 from __future__ import annotations
@@ -87,7 +87,7 @@ def packed_segment_ones(
 ) -> np.ndarray:
     """Set-bit count of every Welch segment, from one popcount pass.
 
-    Segments follow the :func:`repro.dsp.psd.frame_segments` grid
+    Segments follow the :class:`repro.dsp.psd.WelchAccumulator` grid
     (``n_segments = 1 + (n - nperseg) // step``) and must be
     byte-aligned (:func:`segment_grid_aligned`).
     """

@@ -6,24 +6,32 @@ stationary signal (Parseval).  The Welch estimator averages modified
 periodograms of overlapping windowed segments, exactly what the paper's
 Matlab post-processing (1e6 samples, FFT size 1e4) performs.
 
-The Welch hot path is fully vectorized: segments are framed with
+Every Welch estimate in the package goes through one consumer,
+:class:`WelchAccumulator`: sources hand it records or chunks, it folds
+their complete segments into a running ``sum |rfft(segment)|^2`` and
+turns that into a one-sided density.  :func:`welch`, :func:`welch_batch`,
+:class:`repro.soc.streaming.StreamingWelch`, the engine's shared-memory
+workers and :meth:`repro.engine.MeasurementEngine.spectra_of` are thin
+drivers over it, so the segment grid, window, scaling and block
+boundaries — and hence the bits of the result — are the same whichever
+driver produced it.
+
+The fold is vectorized: segments are framed with
 ``numpy.lib.stride_tricks.sliding_window_view`` (a zero-copy view) and
 transformed with batched real-FFT calls over blocks of segments.
 Blocks rather than one monolithic ``(n_segments, nperseg)`` transform keep
 the detrend/window/square intermediates cache-resident, which on
 memory-bandwidth-limited hosts is roughly 2x faster than either the
-per-segment loop or the single giant batch.  ``welch_batch`` extends the
-same kernel across a stack of records — the
-``(n_records, n_segments, nperseg)`` framing used by the measurement
-engine (:mod:`repro.engine`).
+per-segment loop or the single giant batch.
 
-Both estimators also accept packed 1-bit records
-(:class:`~repro.bitstream.PackedBitstream` /
-:class:`~repro.bitstream.PackedRecordBatch`): the kernel unpacks one
-FFT block at a time into a pooled scratch buffer, so a paper-scale
-record is held at ~1 bit/sample for its whole analysis.  Because the
-unpacked floats and the block boundaries are identical to the float
-path, packed PSDs are bit-identical to their float64 counterparts.
+The accumulator also folds packed 1-bit records
+(:class:`~repro.bitstream.PackedBitstream`): it unpacks one FFT block
+at a time into a pooled scratch buffer, so a paper-scale record is
+held at ~1 bit/sample for its whole analysis.  Because the unpacked
+floats and the block boundaries are identical to the float path,
+packed PSDs are bit-identical to their float64 counterparts.  With
+``bit_domain`` the segment means come from a popcount pass instead and
+the detrend moves into the spectrum (the ``welch_bit_domain`` kernel).
 
 The batched transforms go through :mod:`repro.dsp.fft_backend`, which
 defaults to ``numpy.fft`` and can be switched to ``scipy.fft`` with a
@@ -66,155 +74,179 @@ def _as_samples(signal: Union[Waveform, np.ndarray], sample_rate: Optional[float
     return arr, float(sample_rate)
 
 
+def _double_one_sided(psd: np.ndarray, n: int) -> np.ndarray:
+    """Fold negative frequencies in: double all bins but DC (and
+    Nyquist for even ``n``), in place along the last axis."""
+    if n % 2 == 0:
+        psd[..., 1:-1] *= 2.0
+    else:
+        psd[..., 1:] *= 2.0
+    return psd
+
+
 def _modified_periodogram(
     segment: np.ndarray, window: np.ndarray, sample_rate: float
 ) -> np.ndarray:
     """One-sided modified periodogram of a single segment (V^2/Hz)."""
-    n = segment.size
     windowed = segment * window
     spectrum = np.fft.rfft(windowed)
     # Normalize by the window noise power so white noise of variance s^2
     # yields a flat density 2*s^2/fs.
     scale = 1.0 / (sample_rate * np.sum(window**2))
-    psd = (np.abs(spectrum) ** 2) * scale
-    # One-sided: double everything except DC (and Nyquist for even n).
-    if n % 2 == 0:
-        psd[1:-1] *= 2.0
-    else:
-        psd[1:] *= 2.0
-    return psd
+    return _double_one_sided((np.abs(spectrum) ** 2) * scale, segment.size)
 
 
-def frame_segments(samples: np.ndarray, nperseg: int, step: int) -> np.ndarray:
-    """Frame ``samples`` into overlapping segments along the last axis.
+class WelchAccumulator:
+    """Running Welch sum over the segments of float or packed records.
 
-    Returns a zero-copy read-only view of shape
-    ``(..., n_segments, nperseg)`` with ``n_segments = 1 + (n - nperseg)
-    // step`` — the segment set the seed's per-segment loop iterated over.
+    Holds ``acc = sum_k |rfft(detrend(seg_k) * window)|^2`` and the
+    count of segments behind it.  :meth:`add` folds every complete
+    segment of a record — a 1-D float array or a
+    :class:`~repro.bitstream.PackedBitstream` — on the grid
+    ``0, step, 2 step, ...`` of that record, in blocks of
+    ``block_segments`` segments; :meth:`density` scales the sum to a
+    one-sided PSD.  The float path frames the record zero-copy, the
+    packed path unpacks one block at a time into a pooled scratch
+    (bit-identical to the float path), and the ``bit_domain`` packed
+    path hands the whole record to the ``welch_bit_domain`` kernel:
+    segment means come from one popcount pass and the detrend becomes
+    a rank-one ``mean * rfft(window)`` correction, matching the exact
+    path to FFT rounding (<= 1e-10 relative).  ``bit_domain`` is
+    ignored for float records, without ``detrend`` and on segment
+    grids that are not byte-aligned.
+
+    Parameters are validated here and nowhere else: ``nperseg >= 2``,
+    ``overlap`` in ``[0, 1)``, ``block_segments >= 1`` and a positive
+    ``sample_rate``; the segment step is
+    ``max(1, round(nperseg * (1 - overlap)))``.
     """
-    n = samples.shape[-1]
-    if n < nperseg:
-        raise ConfigurationError(
-            f"record has {n} samples but nperseg={nperseg}"
+
+    def __init__(
+        self,
+        nperseg: int,
+        sample_rate: float,
+        window: str = "hann",
+        overlap: float = 0.5,
+        detrend: bool = True,
+        block_segments: int = DEFAULT_BLOCK_SEGMENTS,
+        bit_domain: bool = False,
+    ):
+        if nperseg < 2:
+            raise ConfigurationError(f"nperseg must be >= 2, got {nperseg}")
+        if not 0.0 <= overlap < 1.0:
+            raise ConfigurationError(f"overlap must be in [0, 1), got {overlap}")
+        if block_segments < 1:
+            raise ConfigurationError(
+                f"block_segments must be >= 1, got {block_segments}"
+            )
+        if sample_rate is None or not sample_rate > 0:
+            raise ConfigurationError(f"sample_rate must be > 0, got {sample_rate}")
+        self.nperseg = int(nperseg)
+        self.sample_rate = float(sample_rate)
+        self.detrend = bool(detrend)
+        self.block_segments = int(block_segments)
+        self.step = max(1, int(round(self.nperseg * (1.0 - overlap))))
+        self.window = get_window(window, self.nperseg)
+        self._window_power = np.sum(self.window**2)
+        self.bit_domain = (
+            bool(bit_domain)
+            and self.detrend
+            and segment_grid_aligned(self.nperseg, self.step)
         )
-    n_segments = 1 + (n - nperseg) // step
-    view = sliding_window_view(samples, nperseg, axis=-1)
-    return view[..., ::step, :][..., :n_segments, :]
-
-
-def accumulate_spectral_power(
-    segments: np.ndarray,
-    window: np.ndarray,
-    acc: np.ndarray,
-    detrend: bool,
-    block_segments: int = DEFAULT_BLOCK_SEGMENTS,
-) -> None:
-    """Add ``sum_k |rfft(detrend(seg_k) * window)|^2`` into ``acc`` in place.
-
-    ``segments`` is a ``(n_segments, nperseg)`` (possibly strided) view;
-    the FFT is issued over blocks of ``block_segments`` rows so no
-    per-segment Python-level FFT loop remains and the working set stays
-    cache-resident.  Scaling to a one-sided density is the caller's job.
-    """
-    n_segments = segments.shape[0]
-    nperseg = segments.shape[-1]
-    # One pooled scratch holds the detrended/windowed copy of a block,
-    # so neither branch faults a fresh temporary per block (the
-    # detrend=False branch used to allocate the windowed copy anyway).
-    scratch = default_pool.take(
-        "psd.windowed_block", (block_segments, nperseg)
-    )
-    for start in range(0, n_segments, block_segments):
-        block = segments[start : start + block_segments]
-        buf = scratch[: block.shape[0]]
-        if detrend:
-            np.subtract(block, block.mean(axis=-1, keepdims=True), out=buf)
-            buf *= window
-        else:
-            np.multiply(block, window, out=buf)
-        spectra = rfft(buf, axis=-1)
-        power = spectra.real**2
-        power += spectra.imag**2
-        acc += power.sum(axis=0)
-
-
-def accumulate_packed_spectral_power(
-    packed: PackedBitstream,
-    nperseg: int,
-    step: int,
-    window: np.ndarray,
-    acc: np.ndarray,
-    detrend: bool,
-    block_segments: int = DEFAULT_BLOCK_SEGMENTS,
-    bit_domain: bool = False,
-    window_spectrum: Optional[np.ndarray] = None,
-) -> int:
-    """Blocked :func:`accumulate_spectral_power` over a packed record.
-
-    Unpacks only the samples one FFT block needs (a pooled float
-    scratch of ``(block_segments - 1) * step + nperseg`` samples), so
-    the record itself stays at 1 bit/sample.  By default block
-    boundaries and arithmetic match the float path exactly, so the
-    accumulated sums are bit-identical.
-
-    With ``bit_domain`` (and ``detrend`` on a byte-aligned segment
-    grid — the paper's nperseg 1e4 / 50 % overlap qualifies), the
-    per-segment means come from one popcount pass over the packed
-    words (:func:`repro.dsp.bitstats.packed_segment_means`, means
-    bit-identical to the float path) and the whole blocked
-    accumulation runs through the active ``welch_bit_domain`` kernel
-    (:mod:`repro.kernels`): the detrend subtraction moves into the
-    spectrum as a rank-one ``mean * F[window]`` correction — segments
-    unpack straight into the windowed buffer.  PSDs then match the
-    float path to FFT rounding (<= 1e-10 relative) instead of
-    bit-for-bit; misaligned grids fall back to the exact path
-    silently.  ``window_spectrum`` may supply a precomputed
-    ``rfft(window)`` so batch callers pay the transform once per
-    batch, not once per record.  Returns the number of segments
-    accumulated.
-    """
-    n_segments = 1 + (packed.n_samples - nperseg) // step
-    use_bit_domain = (
-        bit_domain and detrend and segment_grid_aligned(nperseg, step)
-    )
-    if use_bit_domain:
-        means01 = packed_segment_ones(packed, nperseg, step) / float(nperseg)
-        if window_spectrum is None:
-            window_spectrum = np.fft.rfft(window)
-        return get_kernel("welch_bit_domain")(
-            packed.words,
-            packed.n_samples,
-            nperseg,
-            step,
-            window,
-            window_spectrum,
-            means01,
-            acc,
-            block_segments,
+        self._window_spectrum = (
+            np.fft.rfft(self.window) if self.bit_domain else None
         )
-    scratch = default_pool.take(
-        "psd.unpack_block", (block_segments - 1) * step + nperseg
-    )
-    for start in range(0, n_segments, block_segments):
-        nb = min(block_segments, n_segments - start)
-        lo = start * step
-        hi = (start + nb - 1) * step + nperseg
-        samples = packed.unpack_range(lo, hi, out=scratch)
-        segments = frame_segments(samples, nperseg, step)
-        accumulate_spectral_power(
-            segments[:nb], window, acc, detrend, block_segments
+        self._acc = np.zeros(self.nperseg // 2 + 1)
+        self.n_segments = 0
+
+    @property
+    def freqs(self) -> np.ndarray:
+        """Frequency grid of :meth:`density` (Hz)."""
+        return np.fft.rfftfreq(self.nperseg, d=1.0 / self.sample_rate)
+
+    @property
+    def enbw_hz(self) -> float:
+        """Equivalent noise bandwidth of one bin (Hz)."""
+        coherent_gain, noise_gain = window_gains(self.window)
+        return self.sample_rate * noise_gain / (coherent_gain**2) / self.nperseg
+
+    def reset(self) -> None:
+        """Discard the running sum."""
+        self._acc[:] = 0.0
+        self.n_segments = 0
+
+    def add(self, record: Union[np.ndarray, PackedBitstream]) -> int:
+        """Fold every complete segment of ``record``; return how many.
+
+        Samples past the last complete segment are ignored — streaming
+        callers keep them for the next call.
+        """
+        nperseg, step, bs = self.nperseg, self.step, self.block_segments
+        n = len(record)
+        if n < nperseg:
+            raise ConfigurationError(
+                f"record has {n} samples but nperseg={nperseg}"
+            )
+        n_segments = 1 + (n - nperseg) // step
+        packed = isinstance(record, PackedBitstream)
+        if packed and record.sample_rate != self.sample_rate:
+            raise ConfigurationError(
+                f"sample_rate {self.sample_rate} Hz does not match the "
+                f"packed record rate {record.sample_rate} Hz"
+            )
+        if packed and self.bit_domain:
+            means01 = packed_segment_ones(record, nperseg, step) / float(nperseg)
+            get_kernel("welch_bit_domain")(
+                record.words, n, nperseg, step, self.window,
+                self._window_spectrum, means01, self._acc, bs,
+            )
+            self.n_segments += n_segments
+            return n_segments
+        if packed:
+            unpacked = default_pool.take(
+                "psd.unpack_block", (bs - 1) * step + nperseg
+            )
+        # One pooled scratch holds the detrended, windowed copy of a block.
+        scratch = default_pool.take("psd.windowed_block", (bs, nperseg))
+        for start in range(0, n_segments, bs):
+            nb = min(bs, n_segments - start)
+            lo = start * step
+            hi = lo + (nb - 1) * step + nperseg
+            samples = (
+                record.unpack_range(lo, hi, out=unpacked)
+                if packed
+                else record[lo:hi]
+            )
+            block = sliding_window_view(samples, nperseg)[::step]
+            buf = scratch[:nb]
+            if self.detrend:
+                np.subtract(block, block.mean(axis=-1, keepdims=True), out=buf)
+                buf *= self.window
+            else:
+                np.multiply(block, self.window, out=buf)
+            spectra = rfft(buf, axis=-1)
+            power = spectra.real**2
+            power += spectra.imag**2
+            self._acc += power.sum(axis=0)
+        self.n_segments += n_segments
+        return n_segments
+
+    def density(self) -> np.ndarray:
+        """The running sum as a one-sided PSD (V^2/Hz), a fresh array."""
+        psd = self._acc / (
+            self.sample_rate * self._window_power * self.n_segments
         )
-    return n_segments
+        return _double_one_sided(psd, self.nperseg)
 
+    def density_of(self, record: Union[np.ndarray, PackedBitstream]) -> np.ndarray:
+        """One-sided PSD of ``record`` alone (resets the running sum)."""
+        self.reset()
+        self.add(record)
+        return self.density()
 
-def _one_sided_scale(acc: np.ndarray, nperseg: int, denominator: float) -> np.ndarray:
-    """Convert an accumulated ``sum |S|^2`` into a one-sided density."""
-    psd = acc / denominator
-    if nperseg % 2 == 0:
-        psd[..., 1:-1] *= 2.0
-    else:
-        psd[..., 1:] *= 2.0
-    return psd
+    def result(self) -> Spectrum:
+        """The running sum as a :class:`~repro.dsp.spectrum.Spectrum`."""
+        return Spectrum(self.freqs, self.density(), enbw_hz=self.enbw_hz)
 
 
 def periodogram(
@@ -248,25 +280,6 @@ def periodogram(
     return Spectrum(freqs, psd, enbw_hz=enbw_hz)
 
 
-def _welch_params(nperseg: int, overlap: float, n_samples: int):
-    if nperseg < 2:
-        raise ConfigurationError(f"nperseg must be >= 2, got {nperseg}")
-    if n_samples < nperseg:
-        raise ConfigurationError(
-            f"signal has {n_samples} samples but nperseg={nperseg}"
-        )
-    if not 0.0 <= overlap < 1.0:
-        raise ConfigurationError(f"overlap must be in [0, 1), got {overlap}")
-    return max(1, int(round(nperseg * (1.0 - overlap))))
-
-
-def _welch_grid(win: np.ndarray, nperseg: int, fs: float):
-    freqs = np.fft.rfftfreq(nperseg, d=1.0 / fs)
-    coherent_gain, noise_gain = window_gains(win)
-    enbw_hz = fs * noise_gain / (coherent_gain**2) / nperseg
-    return freqs, enbw_hz
-
-
 def welch(
     signal: Union[Waveform, np.ndarray, PackedBitstream],
     nperseg: int,
@@ -298,38 +311,20 @@ def welch(
     bit_domain:
         Packed-input fast path: compute segment means by popcount on
         the packed words and fold the detrend into the spectrum (see
-        :func:`accumulate_packed_spectral_power`).  Results then match
-        the exact path to <= 1e-10 relative instead of bit-for-bit;
-        ignored for float inputs and for misaligned segment grids.
+        :class:`WelchAccumulator`).  Results then match the exact path
+        to <= 1e-10 relative instead of bit-for-bit; ignored for float
+        inputs and for misaligned segment grids.
     """
     if isinstance(signal, PackedBitstream):
-        fs = signal.sample_rate
-        if sample_rate is not None and float(sample_rate) != fs:
-            raise ConfigurationError(
-                f"sample_rate {sample_rate} Hz does not match the packed "
-                f"record rate {fs} Hz"
-            )
-        step = _welch_params(nperseg, overlap, signal.n_samples)
-        win = get_window(window, nperseg)
-        acc = np.zeros(nperseg // 2 + 1)
-        n_segments = accumulate_packed_spectral_power(
-            signal, nperseg, step, win, acc, detrend, block_segments,
-            bit_domain=bit_domain,
-        )
+        record = signal
+        fs = signal.sample_rate if sample_rate is None else sample_rate
     else:
-        samples, fs = _as_samples(signal, sample_rate)
-        step = _welch_params(nperseg, overlap, samples.size)
-        win = get_window(window, nperseg)
-        segments = frame_segments(samples, nperseg, step)
-        n_segments = segments.shape[0]
-        acc = np.zeros(nperseg // 2 + 1)
-        accumulate_spectral_power(segments, win, acc, detrend, block_segments)
-    psd = _one_sided_scale(
-        acc, nperseg, fs * np.sum(win**2) * n_segments
+        record, fs = _as_samples(signal, sample_rate)
+    acc = WelchAccumulator(
+        nperseg, fs, window, overlap, detrend, block_segments, bit_domain
     )
-
-    freqs, enbw_hz = _welch_grid(win, nperseg, fs)
-    return Spectrum(freqs, psd, enbw_hz=enbw_hz)
+    acc.add(record)
+    return acc.result()
 
 
 def welch_batch(
@@ -345,64 +340,35 @@ def welch_batch(
     """Welch PSDs of a stack of records in one batched pipeline.
 
     ``records`` is a ``(n_records, n_samples)`` array or a
-    :class:`~repro.bitstream.PackedRecordBatch`; each record's segments
-    go through the same blocked batched FFT kernel as :func:`welch`, so
-    a row of the result matches ``welch(records[i], ...)`` to machine
-    precision (identical code path).  Packed batches are unpacked one
-    FFT block at a time — peak float memory is one block, not the
-    record stack.  ``sample_rate`` may be omitted for packed batches
-    (they carry their rate).  ``bit_domain`` enables the popcount
-    detrend fast path for packed batches (see :func:`welch`).
+    :class:`~repro.bitstream.PackedRecordBatch`; each record goes
+    through the same :class:`WelchAccumulator` as :func:`welch`, so a
+    row of the result equals ``welch(records[i], ...)`` bit for bit.
+    Packed batches are unpacked one FFT block at a time — peak float
+    memory is one block, not the record stack.  ``sample_rate`` may be
+    omitted for packed batches (they carry their rate).  ``bit_domain``
+    enables the popcount detrend fast path for packed batches (see
+    :func:`welch`).
 
     Returns a :class:`~repro.dsp.spectrum.SpectrumBatch` whose ``psd``
     matrix has one row per record.
     """
     if isinstance(records, PackedRecordBatch):
-        fs = records.sample_rate
-        if sample_rate is not None and float(sample_rate) != fs:
+        rows, n_records = records, records.n_records
+        fs = records.sample_rate if sample_rate is None else sample_rate
+    else:
+        rows = np.asarray(records, dtype=float)
+        if rows.ndim == 1:
+            rows = rows[np.newaxis, :]
+        if rows.ndim != 2:
             raise ConfigurationError(
-                f"sample_rate {sample_rate} Hz does not match the packed "
-                f"batch rate {fs} Hz"
+                f"records must be a (n_records, n_samples) array, got shape "
+                f"{rows.shape}"
             )
-        step = _welch_params(nperseg, overlap, records.n_samples)
-        win = get_window(window, nperseg)
-        accs = np.zeros((records.n_records, nperseg // 2 + 1))
-        win_spectrum = np.fft.rfft(win) if bit_domain else None
-        n_segments = 1
-        for r in range(records.n_records):
-            n_segments = accumulate_packed_spectral_power(
-                records[r], nperseg, step, win, accs[r], detrend,
-                block_segments, bit_domain=bit_domain,
-                window_spectrum=win_spectrum,
-            )
-        psd = _one_sided_scale(
-            accs, nperseg, fs * np.sum(win**2) * n_segments
-        )
-        freqs, enbw_hz = _welch_grid(win, nperseg, fs)
-        return SpectrumBatch(freqs, psd, enbw_hz=enbw_hz)
-
-    arr = np.asarray(records, dtype=float)
-    if arr.ndim == 1:
-        arr = arr[np.newaxis, :]
-    if arr.ndim != 2:
-        raise ConfigurationError(
-            f"records must be a (n_records, n_samples) array, got shape "
-            f"{arr.shape}"
-        )
-    if sample_rate is None or sample_rate <= 0:
-        raise ConfigurationError(f"sample_rate must be > 0, got {sample_rate}")
-    fs = float(sample_rate)
-    step = _welch_params(nperseg, overlap, arr.shape[-1])
-    win = get_window(window, nperseg)
-    frames = frame_segments(arr, nperseg, step)  # (R, n_segments, nperseg)
-    n_records, n_segments = frames.shape[0], frames.shape[1]
-
-    psd = np.empty((n_records, nperseg // 2 + 1))
-    denominator = fs * np.sum(win**2) * n_segments
+        n_records, fs = rows.shape[0], sample_rate
+    acc = WelchAccumulator(
+        nperseg, fs, window, overlap, detrend, block_segments, bit_domain
+    )
+    psd = np.empty((n_records, acc.nperseg // 2 + 1))
     for r in range(n_records):
-        acc = np.zeros(nperseg // 2 + 1)
-        accumulate_spectral_power(frames[r], win, acc, detrend, block_segments)
-        psd[r] = _one_sided_scale(acc, nperseg, denominator)
-
-    freqs, enbw_hz = _welch_grid(win, nperseg, fs)
-    return SpectrumBatch(freqs, psd, enbw_hz=enbw_hz)
+        psd[r] = acc.density_of(rows[r])
+    return SpectrumBatch(acc.freqs, psd, enbw_hz=acc.enbw_hz)

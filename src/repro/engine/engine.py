@@ -60,9 +60,8 @@ from repro.core.bist import (
     check_bitstream_samples,
 )
 from repro.digitizer.digitizer import OneBitDigitizer
-from repro.dsp.psd import DEFAULT_BLOCK_SEGMENTS, _welch_grid, welch_batch
+from repro.dsp.psd import DEFAULT_BLOCK_SEGMENTS, welch_batch
 from repro.dsp.spectrum import SpectrumBatch
-from repro.dsp.windows import get_window
 from repro.errors import ConfigurationError, MeasurementError
 from repro.faults.injector import active_injector
 from repro.kernels import get_kernel_backend
@@ -497,19 +496,16 @@ class MeasurementEngine:
                 bit_domain=self.bit_domain,
                 kernel_backend=get_kernel_backend(),
             )
+            grid = params.accumulator(records.sample_rate)
             psd = welch_batch_shared(
                 records, params, self.max_workers, pool=self.worker_pool
-            )
-            win = get_window(config.window, config.nperseg)
-            freqs, enbw_hz = _welch_grid(
-                win, config.nperseg, records.sample_rate
             )
             if obs_t0:
                 obs.observe(
                     "engine.welch_seconds", time.monotonic() - obs_t0,
                     {"path": "shared"},
                 )
-            return SpectrumBatch(freqs, psd, enbw_hz=enbw_hz)
+            return SpectrumBatch(grid.freqs, psd, enbw_hz=grid.enbw_hz)
         out = welch_batch(
             records,
             nperseg=config.nperseg,

@@ -44,6 +44,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.bitstream import PackedBitstream, PackedRecordBatch
+from repro.dsp.psd import WelchAccumulator
 from repro.errors import ConfigurationError
 from repro.faults.injector import shm_fault
 from repro import obs
@@ -53,9 +54,9 @@ from repro import obs
 class WelchParams:
     """The analysis parameters a worker needs (small, picklable).
 
-    ``bit_domain`` selects the popcount detrend fast path of the
-    packed Welch kernel (engine fast mode; see
-    :func:`repro.dsp.psd.accumulate_packed_spectral_power`).
+    They are the arguments of :class:`repro.dsp.psd.WelchAccumulator`
+    (see :meth:`accumulator`); ``bit_domain`` selects its popcount
+    detrend fast path (engine fast mode).
     """
 
     nperseg: int
@@ -69,6 +70,18 @@ class WelchParams:
     #: parent's :func:`repro.kernels.set_kernel_backend` selection;
     #: persistent pools also pin it at spawn via their initializer.
     kernel_backend: Optional[str] = None
+
+    def accumulator(self, sample_rate: float) -> WelchAccumulator:
+        """A fresh accumulator for records at ``sample_rate``."""
+        return WelchAccumulator(
+            self.nperseg,
+            sample_rate,
+            self.window,
+            self.overlap,
+            self.detrend,
+            self.block_segments,
+            self.bit_domain,
+        )
 
 
 @dataclass(frozen=True)
@@ -268,7 +281,6 @@ def _psd_rows(
     """Welch PSD rows of the selected records (the shared kernel)."""
     from contextlib import nullcontext
 
-    from repro.dsp.psd import welch  # local: workers import lazily
     from repro.kernels import kernel_backend
 
     select = (
@@ -276,19 +288,12 @@ def _psd_rows(
         if params.kernel_backend
         else nullcontext()
     )
+    acc = params.accumulator(batch.sample_rate)
     rows = np.empty((len(indices), params.nperseg // 2 + 1))
     with select:
         for k, i in enumerate(indices):
             with obs.timed("worker.welch_row_seconds"):
-                rows[k] = welch(
-                    batch[i],
-                    nperseg=params.nperseg,
-                    window=params.window,
-                    overlap=params.overlap,
-                    detrend=params.detrend,
-                    block_segments=params.block_segments,
-                    bit_domain=params.bit_domain,
-                ).psd
+                rows[k] = acc.density_of(batch[i])
     obs.inc("worker.welch_rows", len(indices))
     return rows
 

@@ -10,18 +10,22 @@ for overlap = 0 (and a one-segment-buffer variant for 50 % overlap).
 The host implementation mirrors that discipline: incoming samples land
 in a fixed preallocated staging buffer (no per-push ``np.concatenate``
 reallocation, whose cost grows with the buffered history), complete
-segments are transformed with the same chunk-batched FFT kernel as
-:func:`repro.dsp.psd.welch`, and the tail is scrolled back to the front
-of the buffer.  A chunk that arrives while the buffer is empty and
-already spans full segments is framed zero-copy straight from the input.
+segments are folded by the same :class:`~repro.dsp.psd.WelchAccumulator`
+that :func:`repro.dsp.psd.welch` drives — same segment step, block
+boundaries and scaling — and the tail is scrolled back to the front of
+the buffer.  A chunk that arrives while the buffer is empty and already
+spans full segments is handed to the accumulator straight from the
+input, so a stream fed a record in one push equals ``welch`` of that
+record bit for bit.
 
 With ``packed=True`` the staging history is held as an actual
 bit-packed word buffer — 1 bit per buffered sample, the same
 :mod:`repro.bitstream` format the digitizer emits — and chunks may be
 :class:`~repro.bitstream.PackedBitstream` objects, ``+/-1`` arrays or
-waveforms.  Only one FFT block is ever unpacked to floats (a pooled
-scratch), so :meth:`StreamingWelch.memory_bytes` reports a buffer the
-accumulator genuinely allocates instead of an estimate.
+waveforms.  The accumulator reads the staged words directly and unpacks
+only one FFT block to floats (a pooled scratch), so
+:meth:`StreamingWelch.memory_bytes` reports a buffer the accumulator
+genuinely allocates instead of an estimate.
 
 This module provides the streaming accumulator and a helper that
 digitizes an analog stream chunk-by-chunk, so an entire measurement can
@@ -30,19 +34,13 @@ run with only a few kilobytes of buffer.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Union
 
 import numpy as np
 
 from repro.bitstream import PackedBitstream, packed_words_required
-from repro.dsp.psd import (
-    DEFAULT_BLOCK_SEGMENTS,
-    accumulate_packed_spectral_power,
-    accumulate_spectral_power,
-    frame_segments,
-)
+from repro.dsp.psd import DEFAULT_BLOCK_SEGMENTS, WelchAccumulator
 from repro.dsp.spectrum import Spectrum
-from repro.dsp.windows import get_window, window_gains
 from repro.errors import ConfigurationError, MeasurementError
 from repro.signals.waveform import Waveform
 
@@ -87,30 +85,22 @@ class StreamingWelch:
     ):
         if nperseg < 8:
             raise ConfigurationError(f"nperseg must be >= 8, got {nperseg}")
-        if sample_rate_hz <= 0:
-            raise ConfigurationError(
-                f"sample rate must be > 0, got {sample_rate_hz}"
-            )
         if overlap not in (0.0, 0.5):
             raise ConfigurationError(
                 f"streaming mode supports overlap 0 or 0.5, got {overlap}"
             )
-        if block_segments < 1:
-            raise ConfigurationError(
-                f"block_segments must be >= 1, got {block_segments}"
-            )
-        self.nperseg = int(nperseg)
-        self.sample_rate_hz = float(sample_rate_hz)
+        self._accumulator = WelchAccumulator(
+            nperseg, sample_rate_hz, window, overlap, detrend, block_segments
+        )
+        self.nperseg = self._accumulator.nperseg
+        self.sample_rate_hz = self._accumulator.sample_rate
         self.overlap = float(overlap)
         self.detrend = bool(detrend)
-        self.block_segments = int(block_segments)
+        self.block_segments = self._accumulator.block_segments
         self.packed = bool(packed)
-        self._window = get_window(window, self.nperseg)
-        self._window_name = window
-        self._step = self.nperseg if overlap == 0.0 else self.nperseg // 2
         # Fixed staging buffer: one block of segments plus the carried
         # history fits, so pushes never reallocate.
-        self._capacity = self.nperseg + self.block_segments * self._step
+        self._capacity = self.nperseg + self.block_segments * self._accumulator.step
         if self.packed:
             self._staging = None
             self._staging_words = np.zeros(
@@ -120,15 +110,13 @@ class StreamingWelch:
             self._staging = np.zeros(self._capacity)
             self._staging_words = None
         self._staged = 0
-        self._acc = np.zeros(self.nperseg // 2 + 1)
-        self._n_segments = 0
         self._n_samples_seen = 0
 
     # ------------------------------------------------------------------
     @property
     def n_segments(self) -> int:
         """Segments accumulated so far."""
-        return self._n_segments
+        return self._accumulator.n_segments
 
     @property
     def n_samples_seen(self) -> int:
@@ -149,41 +137,37 @@ class StreamingWelch:
         bitstream (the digitizer output); float mode accepts arbitrary
         signals and unpacks packed chunks on arrival.
         """
+        record = self._as_record(chunk)
+        n = len(record)
+        self._n_samples_seen += n
+        if self._staged == 0 and n >= self.nperseg:
+            # Zero-copy: fold complete segments straight from the
+            # chunk; only the incomplete tail enters the buffer.
+            return self._fold(record)
+        completed = 0
+        position = 0
+        while position < n:
+            take = min(n - position, self._capacity - self._staged)
+            self._stage(record, position, position + take)
+            position += take
+            if self._staged >= self.nperseg:
+                completed += self._fold(self._staged_record())
+        return completed
+
+    def _as_record(self, chunk) -> Union[np.ndarray, PackedBitstream]:
+        """The chunk in the staging format: float samples, or a packed
+        record in packed mode."""
+        if (
+            isinstance(chunk, (Waveform, PackedBitstream))
+            and chunk.sample_rate != self.sample_rate_hz
+        ):
+            raise ConfigurationError(
+                f"chunk rate {chunk.sample_rate} Hz does not match "
+                f"stream rate {self.sample_rate_hz} Hz"
+            )
         if isinstance(chunk, PackedBitstream):
-            if chunk.sample_rate != self.sample_rate_hz:
-                raise ConfigurationError(
-                    f"chunk rate {chunk.sample_rate} Hz does not match "
-                    f"stream rate {self.sample_rate_hz} Hz"
-                )
-            self._n_samples_seen += chunk.n_samples
-            if self.packed:
-                if self._staged == 0 and chunk.n_samples >= self.nperseg:
-                    # Fast path: feed the packed chunk straight to the
-                    # shared blocked kernel — no unpack/repack round
-                    # trip; only the sub-segment tail is re-staged.
-                    n_new = accumulate_packed_spectral_power(
-                        chunk,
-                        self.nperseg,
-                        self._step,
-                        self._window,
-                        self._acc,
-                        self.detrend,
-                        self.block_segments,
-                    )
-                    self._n_segments += n_new
-                    tail = chunk.unpack_range(
-                        n_new * self._step, chunk.n_samples
-                    )
-                    self._store_bits((tail > 0).astype(np.uint8))
-                    return n_new
-                return self._push_bits(chunk.unpack_bits())
-            return self._push_float(chunk.unpack())
+            return chunk if self.packed else chunk.unpack()
         if isinstance(chunk, Waveform):
-            if chunk.sample_rate != self.sample_rate_hz:
-                raise ConfigurationError(
-                    f"chunk rate {chunk.sample_rate} Hz does not match "
-                    f"stream rate {self.sample_rate_hz} Hz"
-                )
             data = chunk.samples
         else:
             data = np.asarray(chunk, dtype=float)
@@ -191,152 +175,72 @@ class StreamingWelch:
                 raise ConfigurationError(
                     f"chunk must be 1-D, got shape {data.shape}"
                 )
-        self._n_samples_seen += data.size
-        if self.packed:
-            if not np.all(np.abs(data) == 1.0):
-                raise ConfigurationError(
-                    "packed streaming accepts only +/-1 bitstream chunks"
-                )
-            return self._push_bits((data > 0).astype(np.uint8))
-        return self._push_float(data)
+        if not self.packed:
+            return data
+        if not np.all(np.abs(data) == 1.0):
+            raise ConfigurationError(
+                "packed streaming accepts only +/-1 bitstream chunks"
+            )
+        return PackedBitstream.from_bits(data > 0, self.sample_rate_hz)
 
-    # ------------------------------------------------------------------
-    # Float staging path
-    # ------------------------------------------------------------------
-    def _push_float(self, data: np.ndarray) -> int:
-        completed = 0
-        position = 0
-        if self._staged == 0 and data.size >= self.nperseg:
-            # Zero-copy fast path: frame complete segments directly from
-            # the chunk; only the incomplete tail enters the buffer.
-            completed += self._consume(data)
-            position = data.size
-        while position < data.size:
-            take = min(data.size - position, self._staging.size - self._staged)
-            self._staging[self._staged : self._staged + take] = data[
-                position : position + take
-            ]
-            self._staged += take
-            position += take
-            if self._staged >= self.nperseg:
-                completed += self._consume(self._staging[: self._staged])
-        return completed
-
-    def _consume(self, samples: np.ndarray) -> int:
-        """Accumulate all complete segments of ``samples``; keep the tail."""
-        segments = frame_segments(samples, self.nperseg, self._step)
-        n_new = segments.shape[0]
-        accumulate_spectral_power(
-            segments, self._window, self._acc, self.detrend, self.block_segments
-        )
-        self._n_segments += n_new
-        tail = samples[n_new * self._step :]
-        # Scroll the unconsumed history to the buffer front (tail may
-        # alias the staging buffer, so go through a copy).
-        self._staging[: tail.size] = np.array(tail, copy=True)
-        self._staged = tail.size
+    def _fold(self, record) -> int:
+        """Accumulate all complete segments of ``record``; its tail
+        becomes the staged history."""
+        n_new = self._accumulator.add(record)
+        self._staged = 0
+        self._stage(record, n_new * self._accumulator.step, len(record))
         return n_new
 
-    # ------------------------------------------------------------------
-    # Packed staging path
-    # ------------------------------------------------------------------
-    def _push_bits(self, bits: np.ndarray) -> int:
-        """Packed-mode push: ``bits`` is a transient 0/1 ``uint8`` view
-        of the incoming chunk (1 byte/sample, chunk-sized); the
-        persistent history stays bit-packed."""
-        completed = 0
-        position = 0
-        if self._staged == 0 and bits.size >= self.nperseg:
-            completed += self._consume_bits(bits)
-            position = bits.size
-        while position < bits.size:
-            take = min(bits.size - position, self._capacity - self._staged)
-            self._append_bits(bits[position : position + take])
-            position += take
-            if self._staged >= self.nperseg:
-                completed += self._consume_bits(self._staged_bits())
-        return completed
-
-    def _staged_bits(self) -> np.ndarray:
-        """The staged history as a transient 0/1 bit array."""
-        if self._staged == 0:
-            return np.empty(0, dtype=np.uint8)
-        return np.unpackbits(self._staging_words, count=self._staged)
-
-    def _append_bits(self, bits: np.ndarray) -> None:
-        """Append bits at the staged cursor — O(chunk), not O(history).
-
-        Whole bytes before the cursor are already packed and never
-        touched; only the cursor's partial byte is merged with the new
-        bits and repacked.
-        """
+    def _stage(self, record, start: int, stop: int) -> None:
+        """Append samples ``[start, stop)`` of ``record`` at the staged
+        cursor — O(stop - start), not O(history).  ``record`` may alias
+        the staging buffer (the tail scroll)."""
+        if not self.packed:
+            end = self._staged + stop - start
+            self._staging[self._staged : end] = record[start:stop]
+            self._staged = end
+            return
+        # Whole bytes before the cursor are already packed and never
+        # touched; only the cursor's partial byte is merged with the
+        # new bits and repacked.
+        bits = np.unpackbits(record.words[start // 8 : (stop + 7) // 8])
+        bits = bits[start % 8 : start % 8 + stop - start]
         byte, rem = divmod(self._staged, 8)
         if rem:
-            head = np.unpackbits(
-                self._staging_words[byte : byte + 1], count=rem
-            )
-            packed = np.packbits(np.concatenate([head, bits]))
-        else:
-            packed = np.packbits(bits)
-        self._staging_words[byte : byte + packed.size] = packed
-        self._staged += bits.size
-
-    def _store_bits(self, bits: np.ndarray) -> None:
-        """Repack ``bits`` as the new staged history (cursor reset)."""
+            head = np.unpackbits(self._staging_words[byte : byte + 1], count=rem)
+            bits = np.concatenate([head, bits])
         packed = np.packbits(bits)
-        self._staging_words[: packed.size] = packed
-        self._staged = bits.size
+        self._staging_words[byte : byte + packed.size] = packed
+        self._staged += stop - start
 
-    def _consume_bits(self, bits: np.ndarray) -> int:
-        """Accumulate all complete segments of a 0/1 bit array.
-
-        Repacks the chunk and runs the shared blocked packed kernel
-        (:func:`repro.dsp.psd.accumulate_packed_spectral_power`), so
-        the block boundaries, bit-to-sign conversion and summation
-        order are the same code the batch estimators use — the
-        bit-identical-PSD invariant lives in one place.
-        """
-        packed = PackedBitstream.from_bits(bits, self.sample_rate_hz)
-        n_segments = accumulate_packed_spectral_power(
-            packed,
-            self.nperseg,
-            self._step,
-            self._window,
-            self._acc,
-            self.detrend,
-            self.block_segments,
+    def _staged_record(self) -> Union[np.ndarray, PackedBitstream]:
+        """The staged history, without a copy."""
+        if not self.packed:
+            return self._staging[: self._staged]
+        return PackedBitstream(
+            self._staging_words[: packed_words_required(self._staged)],
+            self._staged,
+            self.sample_rate_hz,
+            validate=False,
+            copy=False,
         )
-        self._n_segments += n_segments
-        self._store_bits(bits[n_segments * self._step :])
-        return n_segments
 
     # ------------------------------------------------------------------
     def result(self) -> Spectrum:
         """The accumulated PSD (raises before the first full segment)."""
-        if self._n_segments == 0:
+        if self.n_segments == 0:
             raise MeasurementError(
                 "no complete segment accumulated yet "
                 f"(buffered {self._staged}/{self.nperseg} samples)"
             )
-        psd = self._acc / (
-            self.sample_rate_hz * np.sum(self._window**2) * self._n_segments
-        )
-        if self.nperseg % 2 == 0:
-            psd[1:-1] *= 2.0
-        else:
-            psd[1:] *= 2.0
-        freqs = np.fft.rfftfreq(self.nperseg, d=1.0 / self.sample_rate_hz)
-        coherent, noise = window_gains(self._window)
-        enbw_hz = self.sample_rate_hz * noise / (coherent**2) / self.nperseg
-        return Spectrum(freqs, psd, enbw_hz=enbw_hz)
+        return self._accumulator.result()
 
     def reset(self) -> None:
         """Discard all accumulated state."""
         self._staged = 0
         if self.packed:
             self._staging_words[:] = 0
-        self._acc = np.zeros(self.nperseg // 2 + 1)
-        self._n_segments = 0
+        self._accumulator.reset()
         self._n_samples_seen = 0
 
     # ------------------------------------------------------------------

@@ -3,8 +3,11 @@
 import numpy as np
 import pytest
 
+from repro.bitstream import PackedRecordBatch
 from repro.dsp.psd import periodogram, welch
+from repro.dsp.psd import welch_batch
 from repro.errors import ConfigurationError
+from repro.kernels import kernel_backend
 from repro.signals.sources import GaussianNoiseSource, SineSource
 from repro.signals.waveform import Waveform
 
@@ -94,6 +97,30 @@ class TestWelch:
     def test_invalid_overlap_raises(self, white_noise):
         with pytest.raises(ConfigurationError):
             welch(white_noise, nperseg=1000, overlap=1.0)
+
+    @pytest.mark.parametrize("tier", ["reference", "tuned"])
+    @pytest.mark.parametrize("block_segments", [0, -1])
+    def test_invalid_block_segments_raises(self, block_segments, tier):
+        # nperseg 4096 at 50 % overlap is byte-aligned, so the packed
+        # bit_domain calls reach the welch_bit_domain kernel path.
+        signs = np.where(np.arange(3 * 4096) % 3 == 0, 1.0, -1.0)
+        stack = signs[np.newaxis, :]
+        packed = PackedRecordBatch.pack(stack, FS)
+        calls = [
+            (welch, signs, dict(sample_rate=FS)),
+            (welch, packed[0], {}),
+            (welch, packed[0], dict(bit_domain=True)),
+            (welch_batch, stack, dict(sample_rate=FS)),
+            (welch_batch, packed, {}),
+            (welch_batch, packed, dict(bit_domain=True)),
+        ]
+        with kernel_backend(tier):
+            for estimator, records, kwargs in calls:
+                with pytest.raises(ConfigurationError, match="block_segments"):
+                    estimator(
+                        records, nperseg=4096, block_segments=block_segments,
+                        **kwargs,
+                    )
 
     def test_zero_overlap_works(self, white_noise):
         spec = welch(white_noise, nperseg=1000, overlap=0.0)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.bitstream import PackedBitstream
 from repro.dsp.psd import welch
 from repro.errors import ConfigurationError, MeasurementError
 from repro.signals.sources import GaussianNoiseSource, SineSource
@@ -111,3 +112,26 @@ class TestAccumulateStream:
     def test_empty_stream_rejected(self):
         with pytest.raises(ConfigurationError):
             accumulate_stream(iter(()), nperseg=100)
+
+
+class TestStreamStepMatchesWelch:
+    """At 50 % overlap the stream steps by welch's ``round(nperseg / 2)``
+    — also for nperseg % 4 == 3, where ``nperseg // 2`` is one less."""
+
+    @pytest.mark.parametrize("packed", [False, True])
+    @pytest.mark.parametrize("nperseg", [11, 15, 1003])
+    def test_stream_equals_welch(self, nperseg, packed, rng):
+        wave = Waveform(np.where(rng.standard_normal(20000) > 0, 1.0, -1.0), FS)
+        batch = welch(wave, nperseg=nperseg, overlap=0.5)
+        n_segments = 1 + (wave.n_samples - nperseg) // round(nperseg / 2)
+        pieces = list(chunked(wave, 997))
+        if packed:
+            pieces = [PackedBitstream.pack(piece) for piece in pieces]
+        streamer = StreamingWelch(nperseg, FS, overlap=0.5, packed=packed)
+        for piece in pieces:
+            streamer.push(piece)
+        assert streamer.n_segments == n_segments
+        assert np.allclose(streamer.result().psd, batch.psd, rtol=1e-12, atol=0)
+        whole = StreamingWelch(nperseg, FS, overlap=0.5, packed=packed)
+        whole.push(PackedBitstream.pack(wave) if packed else wave)
+        assert np.array_equal(whole.result().psd, batch.psd)
