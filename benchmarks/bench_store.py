@@ -208,7 +208,7 @@ def test_store(benchmark, emit):
 
 
 # ---------------------------------------------------------------------------
-# Store at production scale (PR 8): worker-direct writes, the persistent
+# Store at production scale (PR 8): warm lot writes, the persistent
 # index, shard compaction.
 # ---------------------------------------------------------------------------
 
@@ -220,13 +220,6 @@ LOT_NPERSEG = 2048
 #: Synthetic entry count for the enumeration benchmark (>= 10k per the
 #: acceptance bar; payload bytes are irrelevant to ls, only file count).
 N_INDEX_ENTRIES = 10_000
-
-#: Worker-direct warm writes must beat parent-funneled writes by this
-#: factor.  Serialization is pure CPU, so the bar only binds on
-#: multi-core hosts; single-core runners still assert bit-identity.
-MIN_DIRECT_SPEEDUP = float(
-    os.environ.get("BENCH_STORE_MIN_DIRECT_SPEEDUP", "1.3")
-)
 
 #: Enumerating >= 10k entries through the persistent index must beat
 #: the tree walk by this factor (asserted on every host).
@@ -260,39 +253,15 @@ def _scale_lot_items():
 
 
 def test_store_scale(benchmark, emit):
-    from repro.engine import WorkerPool
-    from repro.store.io import put_result_direct
-
     workdir = pathlib.Path(tempfile.mkdtemp(prefix="bench_store_scale_"))
-    multicore = (os.cpu_count() or 1) > 1
     try:
         items = run_once(benchmark, _scale_lot_items)
 
-        # --- worker-direct vs parent-funneled warm writes ------------
-        funneled = ResultStore(workdir / "funneled")
-        _, t_funneled = _time(
-            lambda: [funneled.put_result(k, r) for k, r in items]
-        )
-
-        direct = ResultStore(workdir / "direct")
-        pool = WorkerPool(store_root=str(direct.root))
-        try:
-            pool.map(put_result_direct, items[:2])  # spawn off the clock
-            direct.gc(all_entries=True)
-            _, t_direct = _time(lambda: pool.map(put_result_direct, items))
-        finally:
-            pool.close()
-        direct_speedup = t_funneled / t_direct
-
-        # Transport must be invisible on disk: every worker-written
-        # payload is bit-identical to its parent-funneled twin.
-        walk = funneled.index()
-        assert len(walk) == N_LOT_DEVICES
-        assert all(
-            direct.read_payload_bytes(e.kind, e.key) == e.read_bytes()
-            for e in walk
-        )
-        assert direct.verify_index()["consistent"]
+        # --- warm writes of one lot ----------------------------------
+        lot = ResultStore(workdir / "lot")
+        _, t_writes = _time(lambda: [lot.put_result(k, r) for k, r in items])
+        assert len(lot.index()) == N_LOT_DEVICES
+        assert lot.verify_index()["consistent"]
 
         # --- indexed enumeration vs tree walk at 10k entries ---------
         big = ResultStore(workdir / "big")
@@ -334,16 +303,10 @@ def test_store_scale(benchmark, emit):
 
         rows = [
             [
-                "parent-funneled warm writes",
-                t_funneled,
+                "warm writes",
+                t_writes,
                 f"{N_LOT_DEVICES} payloads",
                 "-",
-            ],
-            [
-                "worker-direct warm writes",
-                t_direct,
-                f"{N_LOT_DEVICES} payloads",
-                f"{direct_speedup:.2f}x",
             ],
             [
                 "tree-walk enumeration",
@@ -391,14 +354,6 @@ def test_store_scale(benchmark, emit):
                 "nperseg": LOT_NPERSEG,
                 "n_index_entries": N_INDEX_ENTRIES,
             },
-            "direct_writes": {
-                "funneled_seconds": round(t_funneled, 4),
-                "direct_seconds": round(t_direct, 4),
-                "speedup": round(direct_speedup, 2),
-                "min_speedup": MIN_DIRECT_SPEEDUP,
-                "asserted": multicore,
-                "bit_identical": True,
-            },
             "indexed_ls": {
                 "walk_seconds": round(t_walk, 5),
                 "indexed_seconds": round(t_indexed, 5),
@@ -415,10 +370,8 @@ def test_store_scale(benchmark, emit):
         }
         bench_path.write_text(json.dumps(payload, indent=2) + "\n")
 
-        # Acceptance bars (ISSUE 8): indexed enumeration and compaction
-        # bind everywhere; the worker-direct floor needs real cores.
+        # Acceptance bars: indexed enumeration and compaction bind
+        # everywhere.
         assert index_speedup >= MIN_INDEX_SPEEDUP
-        if multicore:
-            assert direct_speedup >= MIN_DIRECT_SPEEDUP
     finally:
         shutil.rmtree(workdir, ignore_errors=True)

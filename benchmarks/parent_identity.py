@@ -10,7 +10,16 @@ of each checkout (one subprocess each) and compares every array with
   bit-domain inputs, under the reference and the tuned kernel tier;
 * NFs of ``MeasurementEngine.run_batch`` in both ``rng_mode`` values
   and on the ``process`` backend, and of a ``run_production`` lot on
-  the ``process`` backend.
+  the ``process`` backend;
+* NFs and Y factors of ``MeasurementPlan.run``, ``run_report`` and
+  their ``resume=True`` forms on a mixed plan (batched and per-task
+  groups), and of ``MeasurementScheduler.run_retest``, on the
+  ``vectorized`` and ``process`` backends;
+* every store payload of a store-backed ``process``-backend
+  ``run_production(report=True, max_group_devices=8)`` lot, key by
+  key, as the sealed bytes on disk.
+
+Unmeasured results (``None``) are encoded as ``-inf``.
 
 Usage (``OTHER`` is a checkout of another commit, e.g. from
 ``git archive <commit> | tar -x -C OTHER``)::
@@ -40,6 +49,10 @@ EXPECTED_DIFFERENCES = {
     # The stream used step nperseg // 2, welch round(nperseg / 2).
     "stream/nperseg=1003/overlap=0.5/": "stream step now equals welch's",
     "stream/nperseg=11/overlap=0.5/": "stream step now equals welch's",
+    # Resume served and re-planned every task, not just the plan's.
+    "retest/resume/": "resume now covers only the retest plan's devices",
+    # A resumed run_report traced its re-planned sub-run a second time.
+    "trace/": "a resumed run_report now traces plan.run once",
 }
 
 N_SAMPLES = 40_000
@@ -126,6 +139,107 @@ def _cases():
         engine=MeasurementEngine(backend="process", max_workers=WORKERS),
     )
     yield "production/process", np.array(lot.measured_nf_db)
+    yield from _plan_cases()
+
+
+def _results(results):
+    """NFs then Y factors of a task-ordered result list."""
+    return np.array(
+        [
+            (r.noise_figure_db, r.y) if r is not None else (-np.inf, -np.inf)
+            for r in results
+        ]
+    )
+
+
+def _plan_cases():
+    """Plan execution, resume, retest and store payloads."""
+    from repro import obs
+    from repro.engine import (
+        MeasurementEngine,
+        MeasurementScheduler,
+        MeasurementTask,
+        ResultStore,
+        plan_measurements,
+        plan_retest,
+    )
+    from repro.experiments.matlab_sim import MatlabSimConfig, MatlabSimulation
+    from repro.experiments.production import run_production
+
+    def tasks():
+        # Four batchable devices (groups of 3 and 1 at max_group_size 3)
+        # and one of another record length, measured on its own.
+        sims = [
+            MatlabSimulation(MatlabSimConfig(n_samples=2**15, nperseg=2**11))
+            for _ in range(4)
+        ] + [MatlabSimulation(MatlabSimConfig(n_samples=2**16, nperseg=2**11))]
+        return [
+            MeasurementTask(sim, sim.make_estimator(), 300 + i)
+            for i, sim in enumerate(sims)
+        ]
+
+    def plan():
+        return plan_measurements(tasks(), max_group_size=3)
+
+    verdicts = ["pass", "fail", "pass", "retest", "fail"]
+    with tempfile.TemporaryDirectory() as tmp:
+        for backend in ("vectorized", "process"):
+            def engine(name=None):
+                store = None
+                if name is not None:
+                    store = ResultStore(f"{tmp}/{backend}-{name}")
+                return MeasurementEngine(
+                    backend=backend, max_workers=WORKERS, store=store
+                )
+
+            with engine() as eng:
+                yield f"plan/run/{backend}", _results(plan().run(eng))
+                yield f"plan/run_report/{backend}", _results(
+                    plan().run_report(eng).results
+                )
+                yield f"retest/run_retest/{backend}", _results(
+                    MeasurementScheduler(engine=eng).run_retest(tasks(), verdicts)
+                )
+            for mode in ("run", "run_report"):
+                with engine(f"resume-{mode}") as eng:
+                    plan_measurements(tasks()[1:3]).run(eng)
+                    if mode == "run":
+                        results = plan().run(eng, resume=True)
+                    else:
+                        results = plan().run_report(eng, resume=True).results
+                    yield f"plan/{mode}-resume/{backend}", _results(results)
+            with engine("retest-resume") as eng:
+                yield f"retest/resume/{backend}", _results(
+                    plan_retest(tasks(), verdicts).run(eng, resume=True)
+                )
+            with engine("trace") as eng:
+                plan_measurements(tasks()[:2]).run(eng)
+                obs.enable()
+                try:
+                    plan().run_report(eng, resume=True)
+                    events = [e["name"] for e in obs.trace_events()]
+                finally:
+                    obs.disable()
+                yield f"trace/run_report-resume/{backend}", np.array(
+                    [events.count("plan.run")]
+                )
+
+        store = ResultStore(f"{tmp}/lot")
+        lot = run_production(
+            n_devices=16, n_samples=2**15, nperseg=2**11, seed=13,
+            report=True, max_group_devices=8,
+            engine=MeasurementEngine(
+                backend="process", max_workers=WORKERS, store=store
+            ),
+        )
+        yield "production/store/nf", np.array(lot.measured_nf_db)
+        entries = store.index()
+        yield "production/store/n_entries", np.array([len(entries)])
+        for entry in entries:
+            yield (
+                f"production/store/{entry.kind}/{entry.key}",
+                np.frombuffer(entry.read_bytes(), dtype=np.uint8),
+            )
 
 
 def _run_in(checkout: pathlib.Path, out: str) -> None:
@@ -149,14 +263,21 @@ def main(argv=None) -> int:
         _run_in(pathlib.Path(args.other).resolve(), theirs)
         a, b = np.load(mine), np.load(theirs)
         if sorted(a.files) != sorted(b.files):
+            for name in sorted(set(a.files) ^ set(b.files)):
+                side = "this" if name in a.files else "other"
+                print(f"only in {side}: {name}")
             print("case sets differ")
             return 1
         failed = expected = 0
         for name in sorted(a.files):
             if np.array_equal(a[name], b[name]):
                 continue
-            scale = np.max(np.abs(b[name])) or 1.0
-            diff = np.max(np.abs(a[name] - b[name])) / scale
+            if a[name].shape != b[name].shape:
+                diff = float("nan")
+            else:
+                x, y = a[name].astype(float), b[name].astype(float)
+                scale = np.max(np.abs(y)) or 1.0
+                diff = np.max(np.abs(x - y)) / scale
             reason = next(
                 (why for prefix, why in EXPECTED_DIFFERENCES.items()
                  if name.startswith(prefix)),

@@ -63,12 +63,10 @@ from repro.digitizer.digitizer import OneBitDigitizer
 from repro.dsp.psd import DEFAULT_BLOCK_SEGMENTS, welch_batch
 from repro.dsp.spectrum import SpectrumBatch
 from repro.errors import ConfigurationError, MeasurementError
-from repro.faults.injector import active_injector
 from repro.kernels import get_kernel_backend
 from repro import obs
 from repro.signals.batch_rng import validate_rng_mode
 from repro.signals.random import GeneratorLike, make_rng, spawn_rngs
-from repro.store.io import put_result_direct
 from repro.store.keys import measurement_key
 from repro.store.store import ResultStore
 
@@ -87,11 +85,6 @@ _CACHE_MODES = ("off", "read", "write", "readwrite")
 #: far more than transforming a hot/cold pair in-process — so tiny
 #: batches (a single ``measure``) always stay local.
 MIN_SHARED_WELCH_RECORDS = 4
-
-#: Smallest ``(key, result)`` batch :meth:`MeasurementEngine.
-#: persist_results` fans out to worker-direct store writes.  Below it
-#: the parent writes inline — dispatch overhead would eat the win.
-MIN_DIRECT_STORE_ITEMS = 4
 
 #: Single-measurement writes between engine-side budget checks;
 #: bounding the store costs an enumeration, so it is amortized.
@@ -166,9 +159,8 @@ class DeviceBatch:
 
     The intermediate of the two-phase
     :meth:`MeasurementEngine.acquire_devices` /
-    :meth:`MeasurementEngine.analyze_devices` API that lets the
-    scheduler overlap one plan group's (serial) acquisition with the
-    previous group's Welch fan-out on the worker pool.  ``records`` is
+    :meth:`MeasurementEngine.analyze_devices` API that
+    :meth:`MeasurementEngine.measure_devices` composes.  ``records`` is
     the hot/cold-interleaved stack (packed when the engine is),
     ``estimators`` one estimator per device.
     """
@@ -351,17 +343,9 @@ class MeasurementEngine:
     def persist_results(self, items: Sequence[Tuple[str, BISTResult]]) -> int:
         """Persist ``(key, result)`` pairs; returns how many were new.
 
-        The warm-write fast path: on the process backend, when the
-        engine's pool ships this store's root to its workers (see
-        :attr:`~repro.engine.scheduler.WorkerPool.store_root`) and no
-        fault injector is active, serialization and publish fan out to
-        the workers — each writes its shard directly, eliminating the
-        parent round-trip.  Otherwise (serial backend, shared pool on a
-        different store, tiny batches, chaos runs — store-damage
-        decisions are drawn parent-side, so injected runs keep the
-        parent-funneled path and their deterministic fault streams) the
-        parent writes inline.  Both paths run the same serialization
-        and sealing code, so the bytes on disk are identical.
+        Every write goes through :meth:`~repro.store.ResultStore.
+        put_result` in this process; the byte budget is enforced after
+        the batch.
         """
         items = [
             (key, result)
@@ -370,21 +354,10 @@ class MeasurementEngine:
         ]
         if not items or not self.cache_writes:
             return 0
-        pool = self.worker_pool
-        if (
-            pool is not None
-            and pool.store_root == str(self.store.root)
-            and len(items) >= MIN_DIRECT_STORE_ITEMS
-            and active_injector() is None
-        ):
-            written = sum(map(bool, pool.map(put_result_direct, items)))
-            obs.inc("engine.persist_direct", len(items))
-        else:
-            written = sum(
-                bool(self.store.put_result(key, result))
-                for key, result in items
-            )
-            obs.inc("engine.persist_parent", len(items))
+        written = sum(
+            bool(self.store.put_result(key, result)) for key, result in items
+        )
+        obs.inc("engine.persist_parent", len(items))
         self._budget_writes += written
         self._maybe_enforce_budget(force=True)
         return written
@@ -414,15 +387,8 @@ class MeasurementEngine:
         if self.backend != "process":
             return None
         if self._pool is None:
-            # Workers of a write-capable store-backed engine get the
-            # store root shipped through the pool initializer, so
-            # planned runs can publish results worker-direct.
             self._pool = WorkerPool(
-                max_workers=self.max_workers,
-                policy=self.retry,
-                store_root=(
-                    str(self.store.root) if self.cache_writes else None
-                ),
+                max_workers=self.max_workers, policy=self.retry
             )
         return self._pool
 
@@ -739,9 +705,8 @@ class MeasurementEngine:
         :meth:`map_sweep`).
 
         ``measure_devices`` is :meth:`acquire_devices` followed by
-        :meth:`analyze_devices`; callers that want to overlap one
-        batch's acquisition with another's analysis (the scheduler's
-        pipelined plan execution) use the two phases directly.
+        :meth:`analyze_devices`; each phase is also public, so a caller
+        can time or hook acquisition and analysis separately.
         """
         batch = self.acquire_devices(sources, estimators, rng=rng, rngs=rngs)
         return self.analyze_devices(batch, allow_failures=allow_failures)
@@ -760,9 +725,7 @@ class MeasurementEngine:
         Runs every device's analog chain and digitizes (packs) its two
         records, exactly as ``measure_devices`` would, and returns the
         accumulated :class:`DeviceBatch` without analyzing it.  Pure
-        serial CPU work — no worker-pool involvement — so a pipelined
-        scheduler can run it while the pool is busy with the previous
-        batch's Welch fan-out.
+        serial CPU work — no worker-pool involvement.
         """
         sources = list(sources)
         if not sources:

@@ -33,16 +33,11 @@ from __future__ import annotations
 
 import os
 import time
-from concurrent.futures import (
-    CancelledError,
-    Future,
-    ProcessPoolExecutor,
-    ThreadPoolExecutor,
-)
+from concurrent.futures import CancelledError, Future, ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FuturesTimeoutError
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -80,10 +75,7 @@ _SETTLE_TIMEOUT_S = 10.0
 
 
 def _worker_init(
-    kernel_backend: str,
-    fft_name: str,
-    store_root: Optional[str] = None,
-    obs_enabled: bool = False,
+    kernel_backend: str, fft_name: str, obs_enabled: bool = False
 ) -> None:
     """Pool initializer: inherit the parent's backend selections.
 
@@ -94,13 +86,8 @@ def _worker_init(
     owns one core, and a pocketfft thread pool per worker process is a
     fight, not a speedup.  A selection that cannot be honoured in the
     child (environment drift) falls back to the defaults rather than
-    poisoning the pool.
-
-    ``store_root`` is the *only* store state the parent ships: workers
-    open their own :class:`~repro.store.ResultStore` handle lazily and
-    publish result payloads straight into their shard (see
-    :mod:`repro.store.io`), eliminating the parent serialization
-    round-trip on warm-write paths.
+    poisoning the pool.  Workers hold no store state: results come home
+    and the parent persists them.
 
     ``obs_enabled`` carries the parent's observability switch into the
     child at spawn; a pool spawned *before* the parent enabled
@@ -114,17 +101,14 @@ def _worker_init(
         pass
     if obs_enabled:
         obs.enable()
-    from repro.store.io import configure_worker_store
-
-    configure_worker_store(store_root)
 
 
 def _obs_task(payload) -> Tuple[object, Optional[dict]]:
     """Worker-side dispatch wrapper when observability is on.
 
     Runs the real task, then drains the worker's process-global
-    registry (counters/histograms the task's kernels, shm publishes
-    and store writes recorded) and ships the snapshot home with the
+    registry (counters/histograms the task's kernels and shm
+    publishes recorded) and ships the snapshot home with the
     result — the parent merges it, so per-worker telemetry composes
     with the process backend without shared-memory coordination.
     Disabled runs never dispatch through here, keeping the default
@@ -305,7 +289,6 @@ class WorkerPool:
         self,
         max_workers: Optional[int] = None,
         policy: Optional[RetryPolicy] = None,
-        store_root: Optional[str] = None,
     ):
         if max_workers is not None and max_workers < 1:
             raise ConfigurationError(
@@ -316,9 +299,6 @@ class WorkerPool:
         self._size = 0
         self.spawn_count = 0
         self.policy = policy
-        #: Store root the workers may write directly (shipped through
-        #: the pool initializer; ``None`` keeps workers store-less).
-        self.store_root = str(store_root) if store_root is not None else None
         self.telemetry = MapOutcome(results=[])
         self._run_seq = 0
 
@@ -350,7 +330,6 @@ class WorkerPool:
                 initargs=(
                     get_kernel_backend(),
                     get_fft_backend()[0],
-                    self.store_root,
                     obs.enabled(),
                 ),
             )
@@ -777,15 +756,20 @@ class MeasurementPlan:
         """Tasks that run inside a multi-device batch."""
         return sum(g.n_tasks for g in self.groups if g.batched)
 
-    def _resolve_pipeline(self, engine, pipeline) -> bool:
-        if pipeline == "auto":
-            # Overlap pays when a pool fans analysis out and there is
-            # a later group whose acquisition can fill the wait.
-            return engine.backend == "process" and len(self.groups) >= 2
-        return bool(pipeline)
-
-    def _measure_fallback(self, engine, tasks, allow_failures: bool) -> List:
-        """Per-task measurement of a singleton / unbatchable group."""
+    def _measure_group(
+        self, engine, group: PlanGroup, allow_failures: bool
+    ) -> List:
+        """Measure one group: batched groups through
+        ``engine.measure_devices``, singleton / unbatchable ones per
+        task through ``engine.measure``."""
+        tasks = [self.tasks[i] for i in group.indices]
+        if group.batched:
+            return engine.measure_devices(
+                [t.source for t in tasks],
+                [t.estimator for t in tasks],
+                rngs=[t.rng for t in tasks],
+                allow_failures=allow_failures,
+            )
         out: List = []
         for task in tasks:
             try:
@@ -815,54 +799,138 @@ class MeasurementPlan:
     def _commit(self, engine, keys, group, out, results) -> None:
         """Scatter one group's results; persist them when the engine
         writes to a store (per group, so an interrupted plan keeps
-        every group that completed).
-
-        Persistence goes through
-        :meth:`~repro.engine.engine.MeasurementEngine.persist_results`,
-        which fans the serialization out to the worker pool when the
-        workers share the engine's store (worker-direct writes) and
-        falls back to parent-side writes otherwise — bit-identical
-        either way.
-        """
-        items = []
+        every group that completed)."""
         for index, result in zip(group.indices, out):
             results[index] = result
-            if (
-                keys is not None
-                and keys[index] is not None
-                and result is not None
+        if keys is not None:
+            engine.persist_results(
+                [(keys[i], results[i]) for i in group.indices]
+            )
+
+    def _resume(
+        self, engine, keys, results
+    ) -> Tuple[Tuple[PlanGroup, ...], int]:
+        """Serve this plan's stored tasks into ``results``.
+
+        Returns the groups that re-plan the tasks the store lacks (under
+        this plan's ``max_group_size``) and how many tasks it served.
+        Only tasks in :attr:`groups` take part, so a retest plan resumes
+        just the devices it re-measures.
+        """
+        if getattr(engine, "store", None) is None or not engine.cache_reads:
+            raise ConfigurationError(
+                "resume=True needs an engine with a store in a "
+                "read-capable cache mode"
+            )
+        missing: List[int] = []
+        for i in sorted(i for g in self.groups for i in g.indices):
+            hit = None
+            if keys[i] is not None:
+                hit = engine.store.get_result(keys[i])
+            if hit is None:
+                missing.append(i)
+            else:
+                results[i] = hit
+        served = sum(g.n_tasks for g in self.groups) - len(missing)
+        return _plan_subset(self.tasks, missing, self.max_group_size), served
+
+    def _execute(
+        self, engine, allow_failures, resume, on_group_end, fail_fast
+    ) -> RunReport:
+        """The one group loop behind :meth:`run` and :meth:`run_report`.
+
+        Runs the groups in order, commits (and persists) each one, calls
+        ``on_group_end`` and builds the :class:`RunReport`.  With
+        ``fail_fast`` a group's exception propagates at once; otherwise
+        the group is recorded as failed and the loop goes on.
+        """
+        started_wall = time.time()
+        start = time.monotonic()
+        pool = getattr(engine, "worker_pool", None)
+        before = _pool_snapshot(pool)
+        injector = active_injector()
+        injected_before = len(injector.log) if injector is not None else 0
+        obs_before = obs.snapshot()
+        obs.trace_event(
+            "plan.run", groups=len(self.groups), tasks=len(self.tasks)
+        )
+        keys = self._task_keys(engine)
+        results: List = [None] * len(self.tasks)
+        groups, cached = self.groups, 0
+        if resume:
+            groups, cached = self._resume(engine, keys, results)
+
+        group_reports: List[GroupReport] = []
+        for gi, group in enumerate(groups):
+            t0 = time.monotonic()
+            with obs.trace_span(
+                "plan.group",
+                index=gi,
+                n_tasks=group.n_tasks,
+                batched=group.batched,
             ):
-                items.append((keys[index], result))
-        if not items or not getattr(engine, "cache_writes", False):
-            return
-        persist = getattr(engine, "persist_results", None)
-        if persist is not None:
-            persist(items)
-        else:  # pragma: no cover - engine-like stub without the method
-            for key, result in items:
-                engine.store.put_result(key, result)
+                try:
+                    out = self._measure_group(engine, group, allow_failures)
+                    self._commit(engine, keys, group, out, results)
+                    status, error = "ok", ""
+                except Exception as exc:
+                    if fail_fast:
+                        raise
+                    status, error = "failed", repr(exc)
+            wall = time.monotonic() - t0
+            obs.observe("scheduler.group_seconds", wall)
+            group_reports.append(
+                GroupReport(
+                    index=gi,
+                    n_tasks=group.n_tasks,
+                    batched=group.batched,
+                    status=status,
+                    wall_s=wall,
+                    error=error,
+                )
+            )
+            if on_group_end is not None:
+                on_group_end(gi, len(groups))
+
+        report = RunReport(
+            results=results, groups=group_reports, cached_tasks=cached
+        )
+        after = _pool_snapshot(pool)
+        report.attempts = after[0] - before[0]
+        report.retries = after[1] - before[1]
+        report.timeouts = after[2] - before[2]
+        report.respawns = after[3] - before[3]
+        if pool is not None and after[4] > before[4]:
+            report.dead.extend(pool.telemetry.dead[before[4]:])
+        if injector is not None:
+            for record in injector.log[injected_before:]:
+                report.injections[record.site] = (
+                    report.injections.get(record.site, 0) + 1
+                )
+        report.kernel_backend = get_kernel_backend()
+        report.fft_backend = get_fft_backend()[0]
+        report.wall_s = time.monotonic() - start
+        report.started_at = started_wall
+        report.finished_at = time.time()
+        obs_after = obs.snapshot()
+        if obs_after is not None:
+            report.obs = diff_snapshots(obs_before, obs_after)
+        return report
 
     def run(
         self,
         engine,
         allow_failures: bool = False,
-        pipeline: Union[bool, str] = "auto",
         resume: bool = False,
         on_group_end: Optional[Callable[[int, int], None]] = None,
     ) -> List:
         """Execute the plan on an engine; results in task order.
 
-        ``pipeline`` selects double-buffered group execution: the main
-        thread acquires group ``k+1`` (serial analog + digitize work)
-        while a single analysis thread runs group ``k``'s batched
-        Welch pass — which, on the process backend, mostly blocks on
-        the worker pool, so the two phases genuinely overlap instead
-        of the pool sitting idle during every acquisition.  ``"auto"``
-        (default) pipelines exactly when that idle gap exists (process
-        backend, more than one group); ``True``/``False`` force the
-        choice.  Either way the computations, their generators and the
-        task-ordered results are identical to sequential execution —
-        only the wall-clock interleaving changes.
+        Groups run one after another; the first group that raises
+        aborts the plan with that exception (:meth:`run_report` records
+        it and goes on instead).  Both run the same group loop, so
+        ``run(...)`` equals ``run_report(...).results`` whenever no
+        group fails.
 
         With a store-carrying engine, every completed group's results
         are persisted as the plan advances, and ``resume=True`` replays
@@ -875,35 +943,11 @@ class MeasurementPlan:
         invoked after each group's results are committed (and, with a
         store, persisted).  An exception it raises aborts the remaining
         groups but loses nothing already committed — the measurement
-        service's drain/deadline/preemption points.  A checkpointed run
-        executes sequentially: overlapped execution would move the
-        commit the hook observes.
+        service's drain/deadline/preemption points.
         """
-        if resume:
-            return self._run_resumed(
-                engine, allow_failures, pipeline, on_group_end
-            )
-        keys = self._task_keys(engine)
-        if on_group_end is not None or not self._resolve_pipeline(
-            engine, pipeline
-        ):
-            results: List = [None] * len(self.tasks)
-            for gi, group in enumerate(self.groups):
-                tasks = [self.tasks[i] for i in group.indices]
-                if group.batched:
-                    out = engine.measure_devices(
-                        [t.source for t in tasks],
-                        [t.estimator for t in tasks],
-                        rngs=[t.rng for t in tasks],
-                        allow_failures=allow_failures,
-                    )
-                else:
-                    out = self._measure_fallback(engine, tasks, allow_failures)
-                self._commit(engine, keys, group, out, results)
-                if on_group_end is not None:
-                    on_group_end(gi, len(self.groups))
-            return results
-        return self._run_pipelined(engine, allow_failures, keys)
+        return self._execute(
+            engine, allow_failures, resume, on_group_end, fail_fast=True
+        ).results
 
     def run_report(
         self,
@@ -922,15 +966,12 @@ class MeasurementPlan:
         persisted — so one poisoned sub-batch costs its own tasks, not
         the lot.  The report carries the worker-pool telemetry this
         run consumed (attempts / retries / timeouts / respawns / dead
-        letters) and, when a fault injector is active, the per-site
-        counts of faults injected during the run.
+        letters), per-group wall-clock and, when a fault injector is
+        active, the per-site counts of faults injected during the run.
 
-        Groups execute sequentially (no acquire/analyze pipelining):
-        the report attributes wall-clock and telemetry per group,
-        which overlapped execution would scramble.  ``resume=True``
-        behaves as in :meth:`run` — stored tasks are loaded, only the
-        missing ones are re-planned and executed — with the served
-        tasks counted in ``cached_tasks``.
+        ``resume=True`` behaves as in :meth:`run` — stored tasks are
+        loaded, only the missing ones are re-planned and executed —
+        with the served tasks counted in ``cached_tasks``.
 
         ``on_group_end(group_index, n_groups)`` is the checkpoint hook
         of :meth:`run`: it fires after each group commits, and an
@@ -938,205 +979,9 @@ class MeasurementPlan:
         everything already committed (unlike a group *failure*, which
         is recorded and skipped over).
         """
-        started_wall = time.time()
-        start = time.monotonic()
-        pool = getattr(engine, "worker_pool", None)
-        before = _pool_snapshot(pool)
-        injector = active_injector()
-        injected_before = len(injector.log) if injector is not None else 0
-        obs_before = obs.snapshot()
-        obs.trace_event(
-            "plan.run", groups=len(self.groups), tasks=len(self.tasks)
+        return self._execute(
+            engine, allow_failures, resume, on_group_end, fail_fast=False
         )
-
-        if resume:
-            report = self._run_report_resumed(
-                engine, allow_failures, on_group_end
-            )
-        else:
-            results: List = [None] * len(self.tasks)
-            group_reports: List[GroupReport] = []
-            keys = self._task_keys(engine)
-            for gi, group in enumerate(self.groups):
-                t0 = time.monotonic()
-                tasks = [self.tasks[i] for i in group.indices]
-                with obs.trace_span(
-                    "plan.group",
-                    index=gi,
-                    n_tasks=group.n_tasks,
-                    batched=group.batched,
-                ):
-                    try:
-                        if group.batched:
-                            out = engine.measure_devices(
-                                [t.source for t in tasks],
-                                [t.estimator for t in tasks],
-                                rngs=[t.rng for t in tasks],
-                                allow_failures=allow_failures,
-                            )
-                        else:
-                            out = self._measure_fallback(
-                                engine, tasks, allow_failures
-                            )
-                        self._commit(engine, keys, group, out, results)
-                        status, error = "ok", ""
-                    except Exception as exc:
-                        status, error = "failed", repr(exc)
-                wall = time.monotonic() - t0
-                obs.observe("scheduler.group_seconds", wall)
-                group_reports.append(
-                    GroupReport(
-                        index=gi,
-                        n_tasks=group.n_tasks,
-                        batched=group.batched,
-                        status=status,
-                        wall_s=wall,
-                        error=error,
-                    )
-                )
-                if on_group_end is not None:
-                    on_group_end(gi, len(self.groups))
-            report = RunReport(results=results, groups=group_reports)
-
-        after = _pool_snapshot(pool)
-        report.attempts += after[0] - before[0]
-        report.retries += after[1] - before[1]
-        report.timeouts += after[2] - before[2]
-        report.respawns += after[3] - before[3]
-        if pool is not None and after[4] > before[4]:
-            report.dead.extend(pool.telemetry.dead[before[4]:])
-        if injector is not None:
-            for record in injector.log[injected_before:]:
-                report.injections[record.site] = (
-                    report.injections.get(record.site, 0) + 1
-                )
-        report.kernel_backend = get_kernel_backend()
-        report.fft_backend = get_fft_backend()[0]
-        report.wall_s = time.monotonic() - start
-        report.started_at = started_wall
-        report.finished_at = time.time()
-        obs_after = obs.snapshot()
-        if obs_after is not None:
-            report.obs = diff_snapshots(obs_before, obs_after)
-        return report
-
-    def _run_report_resumed(
-        self, engine, allow_failures: bool, on_group_end=None
-    ) -> RunReport:
-        """Resume path of :meth:`run_report`: serve stored tasks, run a
-        sub-report over the missing ones, merge."""
-        if getattr(engine, "store", None) is None or not engine.cache_reads:
-            raise ConfigurationError(
-                "resume=True needs an engine with a store in a "
-                "read-capable cache mode"
-            )
-        keys = self._task_keys(engine)
-        results: List = [None] * len(self.tasks)
-        missing: List[int] = []
-        for i, key in enumerate(keys):
-            hit = engine.store.get_result(key) if key is not None else None
-            if hit is not None:
-                results[i] = hit
-            else:
-                missing.append(i)
-        cached = len(self.tasks) - len(missing)
-        if not missing:
-            return RunReport(results=results, cached_tasks=cached)
-        subplan = plan_measurements(
-            [self.tasks[i] for i in missing],
-            max_group_size=self.max_group_size,
-        )
-        sub = subplan.run_report(
-            engine, allow_failures=allow_failures, on_group_end=on_group_end
-        )
-        for local, i in enumerate(missing):
-            results[i] = sub.results[local]
-        return RunReport(
-            results=results,
-            groups=sub.groups,
-            cached_tasks=cached,
-        )
-
-    def _run_resumed(
-        self,
-        engine,
-        allow_failures: bool,
-        pipeline: Union[bool, str],
-        on_group_end=None,
-    ) -> List:
-        """Load stored tasks, re-plan and run only the missing ones."""
-        if getattr(engine, "store", None) is None or not engine.cache_reads:
-            raise ConfigurationError(
-                "resume=True needs an engine with a store in a "
-                "read-capable cache mode"
-            )
-        keys = self._task_keys(engine)
-        results: List = [None] * len(self.tasks)
-        missing: List[int] = []
-        for i, key in enumerate(keys):
-            hit = engine.store.get_result(key) if key is not None else None
-            if hit is not None:
-                results[i] = hit
-            else:
-                missing.append(i)
-        if missing:
-            subplan = plan_measurements(
-                [self.tasks[i] for i in missing],
-                max_group_size=self.max_group_size,
-            )
-            sub_results = subplan.run(
-                engine,
-                allow_failures=allow_failures,
-                pipeline=pipeline,
-                on_group_end=on_group_end,
-            )
-            for local, i in enumerate(missing):
-                results[i] = sub_results[local]
-        return results
-
-    def _run_pipelined(self, engine, allow_failures: bool, keys=None) -> List:
-        """Double-buffered execution: acquire group k+1 during group
-        k's analysis.
-
-        Acquisition stays on the calling thread (in plan order, so
-        generator spawning is identical to the sequential path);
-        analysis runs on one worker thread, keeping the worker pool
-        busy back to back.  Fallback (per-task) groups execute on the
-        analysis thread too, preserving one-at-a-time engine use for
-        everything that touches the pool.
-        """
-        results: List = [None] * len(self.tasks)
-        pending: List[Tuple[PlanGroup, Future]] = []
-        with ThreadPoolExecutor(max_workers=1) as analysis:
-            for group in self.groups:
-                if len(pending) >= 2:
-                    # Backpressure: hold at most one acquired group in
-                    # flight beyond the one being analyzed, so a long
-                    # plan never stacks up record batches.
-                    done_group, done_future = pending.pop(0)
-                    self._commit(
-                        engine, keys, done_group, done_future.result(), results
-                    )
-                tasks = [self.tasks[i] for i in group.indices]
-                if group.batched:
-                    batch = engine.acquire_devices(
-                        [t.source for t in tasks],
-                        [t.estimator for t in tasks],
-                        rngs=[t.rng for t in tasks],
-                    )
-                    future = analysis.submit(
-                        engine.analyze_devices,
-                        batch,
-                        allow_failures=allow_failures,
-                    )
-                else:
-                    future = analysis.submit(
-                        self._measure_fallback, engine, tasks, allow_failures
-                    )
-                pending.append((group, future))
-            for group, future in pending:
-                self._commit(engine, keys, group, future.result(), results)
-        return results
 
 
 def _coerce_task(task) -> MeasurementTask:
@@ -1219,6 +1064,27 @@ def plan_measurements(
     )
 
 
+def _plan_subset(
+    tasks: Sequence[MeasurementTask],
+    indices: Sequence[int],
+    max_group_size: Optional[int] = None,
+) -> Tuple[PlanGroup, ...]:
+    """Plan ``tasks[i] for i in indices`` on their own; the groups'
+    indices point into ``tasks`` (a retest or resume of a larger plan).
+    """
+    subplan = plan_measurements(
+        [tasks[i] for i in indices], max_group_size=max_group_size
+    )
+    return tuple(
+        PlanGroup(
+            group.key,
+            tuple(indices[local] for local in group.indices),
+            batched=group.batched,
+        )
+        for group in subplan.groups
+    )
+
+
 def _needs_retest(verdict) -> bool:
     """Whether a prior verdict sends a device back to the tester."""
     if isinstance(verdict, Verdict):
@@ -1282,16 +1148,9 @@ def plan_retest(
             coerced[i] = MeasurementTask(
                 task.source, task.estimator, retest_rngs[i]
             )
-    subplan = plan_measurements([coerced[i] for i in retest])
-    groups = tuple(
-        PlanGroup(
-            group.key,
-            tuple(retest[local] for local in group.indices),
-            batched=group.batched,
-        )
-        for group in subplan.groups
+    return MeasurementPlan(
+        tasks=tuple(coerced), groups=_plan_subset(coerced, retest)
     )
-    return MeasurementPlan(tasks=tuple(coerced), groups=groups)
 
 
 # ----------------------------------------------------------------------
@@ -1415,7 +1274,6 @@ class MeasurementScheduler:
         self,
         tasks: Sequence,
         allow_failures: bool = False,
-        pipeline: Union[bool, str] = "auto",
         resume: bool = False,
         max_group_size: Optional[int] = None,
         on_group_end: Optional[Callable[[int, int], None]] = None,
@@ -1425,11 +1283,8 @@ class MeasurementScheduler:
         Bit-identical to per-task ``engine.measure`` calls; compatible
         tasks share one multi-device batch (one digitize pass, one
         batched Welch pass — fanned over the persistent pool on the
-        process backend).  ``pipeline`` (default ``"auto"``) overlaps
-        one group's acquisition with the previous group's Welch
-        fan-out on the pool — see :meth:`MeasurementPlan.run`.
-        ``resume=True`` (store-backed engines) loads already-persisted
-        tasks and recomputes only the missing ones.
+        process backend).  ``resume=True`` (store-backed engines) loads
+        already-persisted tasks and recomputes only the missing ones.
         ``max_group_size`` / ``on_group_end`` add checkpoint boundaries
         and a per-boundary hook (see :func:`plan_measurements`).
         """
@@ -1437,7 +1292,6 @@ class MeasurementScheduler:
             return self.plan(tasks, max_group_size=max_group_size).run(
                 self.engine,
                 allow_failures=allow_failures,
-                pipeline=pipeline,
                 resume=resume,
                 on_group_end=on_group_end,
             )
@@ -1478,7 +1332,6 @@ class MeasurementScheduler:
         verdicts: Sequence,
         retest_rngs: Optional[Sequence[GeneratorLike]] = None,
         allow_failures: bool = False,
-        pipeline: Union[bool, str] = "auto",
     ) -> List:
         """Re-measure only the failed / guard-band devices of a lot.
 
@@ -1488,7 +1341,7 @@ class MeasurementScheduler:
         """
         try:
             return plan_retest(tasks, verdicts, retest_rngs=retest_rngs).run(
-                self.engine, allow_failures=allow_failures, pipeline=pipeline
+                self.engine, allow_failures=allow_failures
             )
         except BaseException:
             self._release_on_error()

@@ -255,8 +255,7 @@ def run_production(
         # Resuming and persistence need per-device provenance keys,
         # which only the planned path computes — map_sweep workers
         # rebuild benches inside the worker, out of the key's reach.
-        # A write-capable store therefore forces the planned path (its
-        # results publish worker-direct on the process backend anyway).
+        # A write-capable store therefore forces the planned path.
         multi_device_batch = (
             report
             or resume

@@ -220,6 +220,43 @@ class TestPlanResume:
                 assert_results_identical(a, b)
 
 
+    @pytest.mark.parametrize("backend", ["vectorized", "process"])
+    def test_run_equals_run_report_results(self, tmp_path, backend):
+        # Mixed plan: one batched group of 4 plus a fallback singleton.
+        odd = MatlabSimulation(
+            MatlabSimConfig(n_samples=2 * N_SAMPLES, nperseg=NPERSEG)
+        )
+
+        def tasks():
+            sims = [_sim() for _ in range(4)] + [odd]
+            return self._tasks(sims, 5)
+
+        for resume in (False, True):
+            outputs = []
+            for mode in ("run", "report"):
+                store = ResultStore(tmp_path / f"{mode}-{resume}")
+                with MeasurementEngine(
+                    backend=backend, max_workers=2, store=store
+                ) as engine:
+                    if resume:
+                        plan_measurements(tasks()[1:3]).run(engine)
+                    plan = plan_measurements(tasks())
+                    assert [g.batched for g in plan.groups] == [
+                        True, False,
+                    ]
+                    if mode == "run":
+                        outputs.append(plan.run(engine, resume=resume))
+                    else:
+                        report = plan.run_report(engine, resume=resume)
+                        assert report.ok
+                        assert report.cached_tasks == (2 if resume else 0)
+                        outputs.append(report.results)
+            run, reported = outputs
+            assert len(run) == len(reported) == 5
+            for a, b in zip(run, reported):
+                assert_results_identical(a, b)
+
+
 class TestRetest:
     KW = dict(
         limit_db=8.0,
@@ -401,12 +438,11 @@ class TestReviewRegressions:
 
 
 class TestWorkerDirectWrites:
-    """PR 8: pool workers publish straight into their shard.
+    """Store writes of process-backend runs.
 
-    The transport must be invisible on disk — worker-direct payloads
-    are bit-identical to the parent-funneled writes of a serial engine,
-    and the persistent index stays coherent under the multi-process
-    write fan-out.
+    The backend must be invisible on disk — payloads persisted by a
+    process-backend run are bit-identical to those of a serial engine,
+    and the persistent index stays coherent.
     """
 
     N = 8
@@ -427,7 +463,6 @@ class TestWorkerDirectWrites:
         with MeasurementScheduler(
             backend="process", max_workers=2, store=direct
         ) as sched:
-            assert sched.pool.store_root == str(direct.root)
             results = sched.run(self._tasks())
 
         for a, b in zip(reference, results):

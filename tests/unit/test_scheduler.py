@@ -889,3 +889,66 @@ class TestPoolReleaseOnError:
         with pytest.raises(ConfigurationError):
             sched.run(["nonsense"])
         assert not closed  # the caller owns it; their shutdown decides
+
+
+class TestResumeScope:
+    """Resume serves and re-plans only the tasks of the plan's groups."""
+
+    def _tasks(self, n=6):
+        # Integer seeds keep each task's store key recomputable.
+        sim = small_sim(n_samples=30_000)
+        return [
+            MeasurementTask(sim, sim.make_estimator(), 100 + i)
+            for i in range(n)
+        ]
+
+    def test_resumed_retest_measures_only_retested_devices(self, tmp_path):
+        from repro.core.production import Verdict
+        from repro.engine import ResultStore
+        from repro.engine.scheduler import plan_retest
+
+        verdicts = [Verdict.PASS] * 4 + [Verdict.FAIL] * 2
+
+        def measured(results):
+            return [i for i, r in enumerate(results) if r is not None]
+
+        cold = plan_retest(self._tasks(), verdicts).run(MeasurementEngine())
+        assert measured(cold) == [4, 5]
+        for name, call in (
+            ("run", lambda plan, eng: plan.run(eng, resume=True)),
+            (
+                "report",
+                lambda plan, eng: plan.run_report(eng, resume=True).results,
+            ),
+        ):
+            store = ResultStore(tmp_path / name)
+            engine = MeasurementEngine(store=store)
+            resumed = call(plan_retest(self._tasks(), verdicts), engine)
+            assert measured(resumed) == [4, 5]
+            assert len(store.index().by_kind("results")) == 2
+            for i in (4, 5):
+                assert resumed[i].noise_figure_db == cold[i].noise_figure_db
+
+    def test_resumed_run_report_traces_one_plan_run(self, tmp_path):
+        from repro import obs
+        from repro.engine import ResultStore
+
+        engine = MeasurementEngine(store=ResultStore(tmp_path / "s"))
+        plan_measurements(self._tasks()[:3]).run(engine)
+        was_enabled = obs.enabled()
+        obs.enable()
+        obs.reset()
+        try:
+            report = plan_measurements(self._tasks()).run_report(
+                engine, resume=True
+            )
+            events = [
+                e for e in obs.trace_events() if e["name"] == "plan.run"
+            ]
+        finally:
+            obs.disable()
+            if was_enabled:
+                obs.enable()
+        assert len(events) == 1
+        assert report.cached_tasks == 3
+        assert all(r is not None for r in report.results)
